@@ -1,10 +1,11 @@
-"""Legacy setup shim.
+"""Legacy setup shim for offline editable installs.
 
-The container ships setuptools 65 without the ``wheel`` package and has
-no network, so PEP-517 editable installs (which must build a wheel)
-fail. This shim lets ``pip install -e . --no-use-pep517`` (and plain
-``pip install -e .`` via the fallback documented in README) use the
-legacy ``setup.py develop`` path. Metadata lives in pyproject.toml.
+Without network access pip cannot install this project in editable
+mode: ``pip install -e .`` has to download ``setuptools>=64`` into an
+isolated build environment, and ``--no-build-isolation`` or
+``--no-use-pep517`` fail because the ``wheel`` package is not installed.
+``python setup.py develop`` uses the installed setuptools directly and
+works offline. Metadata lives in pyproject.toml.
 """
 from setuptools import setup
 

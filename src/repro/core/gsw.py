@@ -43,7 +43,8 @@ def geometric_weight(measures: list[str]) -> Column:
     """w_i = geometric mean of the group's measures (Cor. 5).
 
     Computed as ``exp(mean(log m))``; measures must be strictly positive
-    (the ads generator guarantees ≥ 1).
+    (the ads generator guarantees ≥ 1). A zero measure gives a NULL weight
+    (Spark's ``log(0)``), which :func:`solve_delta` rejects.
     """
     s = F.lit(0.0)
     for m in measures:
@@ -126,7 +127,17 @@ def solve_delta(
     if target_size <= 0:
         raise ValueError("target_size must be positive")
     w = weight
-    stats = df.select(F.sum(w).alias("W"), F.count(F.lit(1)).alias("n")).first()
+    stats = df.select(
+        F.sum(w).alias("W"),
+        F.count(F.lit(1)).alias("n"),
+        F.count(F.when(w.isNull() | (w <= 0), 1)).alias("bad"),
+    ).first()
+    if stats["bad"]:
+        # Such a row could never be drawn (π = 0), so every estimate would
+        # silently miss its measure mass.
+        raise ValueError(
+            f"{stats['bad']} rows have a NULL or non-positive sampling weight"
+        )
     W, n = float(stats["W"]), int(stats["n"])
     if target_size >= n:  # asking for (at least) everything
         # Any tiny Δ keeps nearly all rows; Δ = W/n² keeps p_i ≈ 1.

@@ -4,9 +4,10 @@ The offline phase draws multi-layer samples (different Δ's / rates) and
 caches them; the online phase processes a forecasting task in two steps:
 
 1. *Aggregation*: the Query Rewriter turns the task into per-day SUM
-   queries (eq. 4), answered either on the full relation or on one of
-   the cached samples' calibrated columns (one Catalyst
-   Filter→Aggregate per task).
+   queries (eq. 4), answered either on the full relation (one Catalyst
+   Filter→Aggregate per task) or on one sample layer's calibrated
+   columns, pinned on the driver when the layer was built (a mask and a
+   ``bincount``, no Spark job).
 2. *Forecasting*: the estimated series M̂_{ts..te} trains the requested
    model (auto-ARIMA or LSTM), which predicts FORE_PERIOD future days
    with confidence intervals.
@@ -59,7 +60,7 @@ class FlashP:
         self.df = df
         self.days = days
         self.measures = list(measures or ADS_MEASURES)
-        self._samples: dict[str, DataFrame] = {}
+        self._layers: dict[str, estimators.SampleLayer] = {}
         self._pim: PIM | None = None
 
     # ------------------------------------------------- offline sampling
@@ -85,27 +86,30 @@ class FlashP:
         else:
             w, measures = arithmetic_weight(list(weights)), list(weights)
         delta = delta_for_rate(self.df, w, rate)
-        s = gsw_sample(self.df, w, delta, measures=measures, seed=seed).coalesce(4).cache()
-        s.count()  # materialize now: the paper's sampling phase is offline
-        self._samples[name] = s
-        return s
+        return self._register(name, gsw_sample(self.df, w, delta, measures=measures, seed=seed))
 
     def add_uniform_sample(
         self, name: str, *, rate: float, seed: int = 0
     ) -> DataFrame:
-        s = uniform_sample(self.df, rate, measures=self.measures, seed=seed).coalesce(4).cache()
-        s.count()
-        self._samples[name] = s
-        return s
+        return self._register(
+            name, uniform_sample(self.df, rate, measures=self.measures, seed=seed)
+        )
 
     def add_priority_sample(
         self, name: str, *, rate: float, measure: str, seed: int = 0
     ) -> DataFrame:
         n_day = self.df.count() / self.days
         k = max(1, int(round(rate * n_day)))
-        s = priority_sample(self.df, k, measure=measure, seed=seed).coalesce(4).cache()
-        s.count()
-        self._samples[name] = s
+        return self._register(name, priority_sample(self.df, k, measure=measure, seed=seed))
+
+    def _register(self, name: str, sample: DataFrame) -> DataFrame:
+        """Cache a sample layer and pin its serving columns on the driver.
+
+        The pinning collect is the action that fills the cache, so the
+        layer is materialized now: the paper's sampling phase is offline.
+        """
+        s = sample.coalesce(4).cache()
+        self._layers[name] = estimators.SampleLayer.pin(s)
         return s
 
     def build_pim(self) -> PIM:
@@ -114,7 +118,8 @@ class FlashP:
         return self._pim
 
     def sample(self, name: str) -> DataFrame:
-        return self._samples[name]
+        """The cached Spark DataFrame of a sample layer."""
+        return self._layers[name].df
 
     # --------------------------------------------------- online serving
     def _aggregate(
@@ -129,7 +134,7 @@ class FlashP:
             series = self._pim.estimate_series(where, task.measure)
         else:
             series = estimators.estimated_series(
-                self._samples[source], where, task.measure, self.days
+                self._layers[source], where, task.measure, self.days
             )
         return series[task.t_start : task.t_end + 1]
 
@@ -140,6 +145,11 @@ class FlashP:
         """Process one forecasting task end to end."""
         if isinstance(task, str):
             task = parse_task(task)
+        if task.t_end >= self.days:
+            raise ValueError(
+                f"USING window ({task.t_start}, {task.t_end}) ends past the "
+                f"relation's last day {self.days - 1}"
+            )
         t0 = time.perf_counter()
         series = self._aggregate(task, source)
         t1 = time.perf_counter()

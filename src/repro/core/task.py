@@ -116,6 +116,8 @@ def parse_task(text: str) -> ForecastTask:
                 model = val.lower()
             elif key == "FORE_PERIOD":
                 fore_period = int(val)
+                if fore_period <= 0:
+                    raise ValueError(f"FORE_PERIOD must be positive, got {fore_period}")
             else:
                 raise ValueError(f"unknown OPTION key {key!r}")
     ts, te = int(m.group("ts")), int(m.group("te"))

@@ -18,7 +18,12 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.estimators import estimated_series, exact_series, relative_agg_error
+from repro.core.estimators import (
+    SampleLayer,
+    estimated_series,
+    exact_series,
+    relative_agg_error,
+)
 from repro.core.gsw import gsw_sample, optimal_weight
 from repro.experiments.common import ExpConfig
 from repro.synth_data import ADS_MEASURES
@@ -87,23 +92,19 @@ def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02)
         from repro.core.gsw import arithmetic_weight
 
         row = out[out["cgsw_rate"] == verify_rate].iloc[0]
-        sa = gsw_sample(
+        sa = SampleLayer.pin(gsw_sample(
             df, arithmetic_weight(list(ADS_MEASURES)), float(row["cgsw_delta"]),
             measures=list(ADS_MEASURES), seed=51,
-        ).cache()
-        sa.count()
+        ))
         verify = []
         for m in ADS_MEASURES:
             # recompute the matched Δ for this measure
             r_a = rstd_exact(M[m], w_arith, float(row["cgsw_delta"]))
             delta_m = r_a**2 * M[m].sum()
-            so = gsw_sample(df, optimal_weight(m), delta_m, measures=[m], seed=52).cache()
-            so.count()
+            so = SampleLayer.pin(gsw_sample(df, optimal_weight(m), delta_m, measures=[m], seed=52))
             truth = exact_series(df, None, m, cfg.days)
             e_a = relative_agg_error(estimated_series(sa, None, m, cfg.days), truth)
             e_o = relative_agg_error(estimated_series(so, None, m, cfg.days), truth)
             verify.append({"measure": m, "agg_err_cgsw": e_a, "agg_err_opt": e_o})
-            so.unpersist()
-        sa.unpersist()
         out.attrs["verify"] = pd.DataFrame(verify)
     return out

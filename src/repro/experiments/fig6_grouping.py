@@ -15,7 +15,12 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.estimators import estimated_series, exact_series, relative_agg_error
+from repro.core.estimators import (
+    SampleLayer,
+    estimated_series,
+    exact_series,
+    relative_agg_error,
+)
 from repro.core.gsw import arithmetic_weight, delta_for_rate, gsw_sample
 from repro.core.grouping import normalized_l1
 from repro.experiments.common import ExpConfig
@@ -51,8 +56,7 @@ def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFra
         for group in (g1, g2):
             w_col = arithmetic_weight(group)
             delta = delta_for_rate(df, w_col, rate)
-            sample = gsw_sample(df, w_col, delta, measures=group, seed=61).cache()
-            sample.count()
+            sample = SampleLayer.pin(gsw_sample(df, w_col, delta, measures=group, seed=61))
             w_vec = np.mean([vectors[m] for m in group], axis=0)
             for m in group:
                 l1 = normalized_l1(vectors[m], w_vec)
@@ -72,5 +76,4 @@ def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFra
                         "agg_err": float(np.mean(errs)),
                     }
                 )
-            sample.unpersist()
     return pd.DataFrame(rows)

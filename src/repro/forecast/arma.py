@@ -36,13 +36,37 @@ def css_residuals(x: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> np
         arpart[p:] -= ar[i] * x[p - 1 - i : n - 1 - i]
     if q == 0:
         return arpart[p:]
-    e = np.zeros(n)
-    for t in range(p, n):
-        acc = arpart[t]
-        for j in range(min(q, t)):
-            acc -= ma[j] * e[t - 1 - j]
+    # The MA recursion runs on Python floats, several times faster than
+    # indexing numpy scalars. Every step subtracts the same products in the
+    # same order as the plain loop (one term per past residual, zeros before
+    # t = p included), so the result is bit-identical to it.
+    a, m = arpart.tolist(), ma.tolist()
+    e = [0.0] * n
+    t0 = min(max(p, q), n)
+    for t in range(p, t0):  # fewer than q past residuals exist yet
+        acc = a[t]
+        for j in range(t):
+            acc -= m[j] * e[t - 1 - j]
         e[t] = acc
-    return e[p:]
+    if q == 1 and t0 < n:
+        (m1,) = m
+        e1 = e[t0 - 1]
+        for t in range(t0, n):
+            e1 = a[t] - m1 * e1
+            e[t] = e1
+    elif q == 2 and t0 < n:
+        m1, m2 = m
+        e1, e2 = e[t0 - 1], e[t0 - 2]
+        for t in range(t0, n):
+            e1, e2 = a[t] - m1 * e1 - m2 * e2, e1
+            e[t] = e1
+    else:
+        for t in range(t0, n):
+            acc = a[t]
+            for j in range(q):
+                acc -= m[j] * e[t - 1 - j]
+            e[t] = acc
+    return np.array(e[p:])
 
 
 def _root_penalty(coefs: np.ndarray, kind: str) -> float:
@@ -53,6 +77,16 @@ def _root_penalty(coefs: np.ndarray, kind: str) -> float:
     |z| ≤ 1 violate stationarity (invertibility).
     """
     if len(coefs) == 0:
+        return 0.0
+    # If Σ|c_i|·1.05^i < 1, then |Σ c_i z^i| < 1 on |z| ≤ 1.05 (triangle
+    # inequality), so no root lies there and every term below is exactly 0.
+    # The 1e-9 margin keeps a root just outside 1.05 from being computed
+    # as inside by np.roots.
+    bound, r = 0.0, 1.0
+    for c in coefs.tolist():
+        r *= 1.05
+        bound += abs(c) * r
+    if bound < 1.0 - 1e-9:
         return 0.0
     sign = -1.0 if kind == "ar" else 1.0
     poly = np.concatenate(([1.0], sign * coefs))
@@ -126,6 +160,7 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
         raise ValueError(f"series too short ({n}) for ARMA({p},{q})")
 
     mean = float(x.mean())
+    pen_scale = max(1.0, np.var(x))
 
     def unpack(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         return float(theta[0]), theta[1 : 1 + p], theta[1 + p : 1 + p + q]
@@ -134,7 +169,7 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
         c, ar, ma = unpack(theta)
         pen = _root_penalty(ar, "ar") + _root_penalty(ma, "ma")
         e = css_residuals(x, c, ar, ma)
-        return float(np.sum(e * e)) + pen * max(1.0, np.var(x))
+        return float(np.sum(e * e)) + pen * pen_scale
 
     # Start from white noise around the mean; seed AR1 with lag-1 autocorr.
     theta0 = np.zeros(1 + p + q)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.forecast.arma import ARMAResult, css_residuals, fit_arma
+from repro.forecast.arma import ARMAResult, _root_penalty, css_residuals, fit_arma
 
 
 def simulate_arma(ar, ma, n, *, sigma=1.0, const=0.0, seed=0):
@@ -54,6 +54,61 @@ class TestCssResiduals:
     def test_length_conditioning(self):
         x = np.arange(10.0)
         assert len(css_residuals(x, 0.0, np.array([0.1, 0.1]), np.array([]))) == 8
+
+
+def css_residuals_reference(x, c, ar, ma):
+    """The plain scalar CSS recursion, kept as the exactness reference."""
+    p, q = len(ar), len(ma)
+    n = len(x)
+    arpart = x.copy() - c
+    for i in range(p):
+        arpart[p:] -= ar[i] * x[p - 1 - i : n - 1 - i]
+    if q == 0:
+        return arpart[p:]
+    e = np.zeros(n)
+    for t in range(p, n):
+        acc = arpart[t]
+        for j in range(min(q, t)):
+            acc -= ma[j] * e[t - 1 - j]
+        e[t] = acc
+    return e[p:]
+
+
+def root_penalty_reference(coefs, kind):
+    sign = -1.0 if kind == "ar" else 1.0
+    roots = np.roots(np.concatenate(([1.0], sign * coefs))[::-1])
+    return float(1e4 * np.sum(np.clip(1.05 - np.abs(roots), 0.0, None) ** 2))
+
+
+class TestCssExactness:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
+    def test_bit_identical_to_scalar_recursion(self, p, q):
+        g = np.random.default_rng(10 * p + q)
+        for n in (0, 1, 2, 3, 5, 150):
+            for scale in (0.1, 0.9, 3.0):
+                x = g.normal(size=n) * 100
+                ar, ma = g.normal(size=p) * scale, g.normal(size=q) * scale
+                c = float(g.normal())
+                got = css_residuals(x, c, ar, ma)
+                want = css_residuals_reference(x, c, ar, ma)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["ar", "ma"])
+    def test_root_penalty_equals_roots_formula(self, kind):
+        g = np.random.default_rng(0)
+        cases = [g.normal(size=k) * s for k in (1, 2, 3) for s in (0.1, 0.5, 1.0, 2.0)
+                 for _ in range(50)]
+        # Coefficients whose Σ|c_i|·1.05^i straddles 1: roots near |z| = 1.05.
+        for k in (1, 2, 3):
+            base = np.abs(g.normal(size=k)) * g.choice([-1.0, 1.0], size=k)
+            norm = float(np.sum(np.abs(base) * 1.05 ** np.arange(1, k + 1)))
+            for f in (1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6):
+                cases.append(base / norm * f)
+        cases.append(np.array([1 / 1.05]))  # a root exactly at 1.05
+        cases.append(np.array([0.999, 0.0]))  # near-unit root, zero lead
+        for coefs in cases:
+            assert _root_penalty(coefs, kind) == root_penalty_reference(coefs, kind)
 
 
 class TestFitRecovery:

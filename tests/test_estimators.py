@@ -3,14 +3,26 @@ import numpy as np
 import pytest
 
 from repro.core.estimators import (
+    SampleLayer,
     estimated_series,
     exact_series,
     relative_agg_error,
 )
-from repro.core.gsw import delta_for_rate, gsw_sample, optimal_weight
+from repro.core.gsw import (
+    arithmetic_weight,
+    delta_for_rate,
+    geometric_weight,
+    gsw_sample,
+    optimal_weight,
+)
 from repro.oracle import assert_equivalent
-from repro.synth_data import random_constraint
+from repro.sampling.base import est_col
+from repro.sampling.priority import priority_sample
+from repro.sampling.uniform import uniform_sample
+from repro.synth_data import ADS_MEASURES, random_constraint
 from tests.conftest import DAYS
+
+MEASURES = list(ADS_MEASURES)
 
 
 class TestExactSeries:
@@ -92,6 +104,60 @@ class TestEstimatedSeries:
         assert relative_agg_error(est, truth) < 0.5
         # correlated day-to-day: the estimated series follows the true one
         assert np.corrcoef(est, truth)[0, 1] > 0.5
+
+
+@pytest.fixture(scope="module")
+def layers(ads_df):
+    """One pinned layer per sampler; pinning also fills each cache."""
+    def gsw(weight, measures):
+        return gsw_sample(ads_df, weight, delta_for_rate(ads_df, weight, 0.05),
+                          measures=measures, seed=3)
+
+    samples = {
+        "opt": gsw(optimal_weight("impression"), ["impression"]),
+        "agsw": gsw(arithmetic_weight(MEASURES), MEASURES),
+        "ggsw": gsw(geometric_weight(MEASURES), MEASURES),
+        "uniform": uniform_sample(ads_df, 0.05, measures=MEASURES, seed=3),
+        "priority": priority_sample(ads_df, 75, measure="impression", seed=3),
+    }
+    out = {name: SampleLayer.pin(s.cache()) for name, s in samples.items()}
+    yield out
+    for layer in out.values():
+        layer.df.unpersist()
+
+
+class TestPinnedLayer:
+    """The driver-side serving path against Spark's GROUP BY on the same rows."""
+
+    @pytest.mark.parametrize("name", ["opt", "agsw", "ggsw", "uniform", "priority"])
+    @pytest.mark.parametrize(
+        "where",
+        [
+            None,
+            "device IN (0, 2)",
+            "age_group IN (0, 1, 2) AND interest IN (3, 5, 7) AND city_tier IN (1, 2)",
+            "gender IN (0) AND gender IN (1)",  # matches no row
+        ],
+    )
+    def test_matches_spark_groupby(self, layers, name, where):
+        layer = layers[name]
+        assert layer.est, "layer pinned no calibrated column"
+        for col in layer.est:
+            measure = col.removesuffix("_est")
+            got = estimated_series(layer, where, measure, DAYS)
+            want = exact_series(layer.df, where, col, DAYS)
+            assert got.dtype == np.float64 and got.shape == (DAYS,)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_pins_only_serving_columns(self, layers):
+        layer = layers["agsw"]
+        assert set(layer.est) == {est_col(m) for m in MEASURES}
+        assert layer.t.shape == (layer.df.count(),)
+        assert all(codes.dtype == np.uint8 for codes in layer.dims.values())
+
+    def test_unknown_measure_raises(self, layers):
+        with pytest.raises(KeyError):
+            estimated_series(layers["opt"], None, "click", DAYS)
 
 
 class TestRelativeAggError:

@@ -142,6 +142,23 @@ class TestSolveDelta:
         with pytest.raises(ValueError):
             solve_delta(ads_df, optimal_weight("impression"), 0.0)
 
+    @pytest.mark.parametrize("kind", ["optimal", "geometric"])
+    def test_rejects_nonpositive_or_null_weights(self, ads_df, kind):
+        # A zeroed measure gives w = 0 (optimal) or NULL (log(0) in the
+        # geometric mean): such rows could never be drawn, biasing G-GSW.
+        weight = (
+            optimal_weight("favorite") if kind == "optimal"
+            else geometric_weight(list(ADS_MEASURES))
+        )
+        zeroed = ads_df.withColumn(
+            "favorite",
+            F.when((F.col("t") == 0) & (F.col("gender") == 0), F.lit(0)).otherwise(
+                F.col("favorite")
+            ),
+        )
+        with pytest.raises(ValueError, match="non-positive sampling weight"):
+            delta_for_rate(zeroed, weight, 0.05)
+
 
 class TestIncreaseDelta:
     def test_shrinks_sample(self, ads_df):

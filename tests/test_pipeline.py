@@ -45,6 +45,14 @@ class TestSources:
         assert rel < 0.5
         assert np.corrcoef(o.series, truth)[0, 1] > 0.3
 
+    @pytest.mark.parametrize("src", ["opt_imp", "agsw", "ggsw", "unif", "prio_imp"])
+    def test_sampled_sources_serve_pinned_layer(self, flashp, src):
+        # The reference: Spark's SUM(impression_est) GROUP BY t on the
+        # layer's cached DataFrame.
+        o = flashp.run(TASK, source=src, arima_kwargs=ARIMA_FAST)
+        want = exact_series(flashp.sample(src), "gender IN (1)", "impression_est", DAYS)
+        np.testing.assert_allclose(o.series, want[: TRAIN_END + 1], rtol=1e-12, atol=0)
+
     def test_pim_source_runs(self, flashp):
         o = flashp.run(TASK, source="pim", arima_kwargs=ARIMA_FAST)
         assert len(o.series) == TRAIN_END + 1
@@ -101,6 +109,11 @@ class TestOutcome:
 
         o = flashp.run(parse_task(TASK), source="full", arima_kwargs=ARIMA_FAST)
         assert len(o.point) == 7
+
+    def test_using_window_past_last_day_rejected(self, flashp):
+        task = "FORECAST SUM(click) FROM ads USING (0, 999)"
+        with pytest.raises(ValueError, match="ends past the relation's last day"):
+            flashp.run(task, source="full", arima_kwargs=ARIMA_FAST)
 
     def test_using_window_respected(self, flashp):
         task = (

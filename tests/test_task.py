@@ -96,6 +96,11 @@ class TestParseTask:
         with pytest.raises(ValueError, match="empty"):
             parse_task("FORECAST SUM(click) FROM ads USING (9, 3)")
 
+    @pytest.mark.parametrize("h", [0, -3])
+    def test_nonpositive_fore_period_rejected(self, h):
+        with pytest.raises(ValueError, match="FORE_PERIOD must be positive"):
+            parse_task(f"FORECAST SUM(click) FROM ads USING (0, 9) OPTION (FORE_PERIOD={h})")
+
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown OPTION"):
             parse_task("FORECAST SUM(click) FROM ads USING (0, 9) OPTION (HORIZON=3)")

@@ -5,28 +5,20 @@ end-to-end time; sampling cuts aggregation time sharply while the
 model-fitting portion stays constant; LSTM fitting costs more than
 ARIMA.
 """
-import dataclasses
-
-from benchmarks.conftest import save_result
 from repro.experiments.common import load_ads
-from repro.experiments.exp2_response import PAPER_EXP2, run_exp2
+from repro.experiments.registry import EXPERIMENTS
 
 
 def test_exp2_response(benchmark, spark, bench_cfg):
-    # Response time is the one experiment whose shape needs table size:
-    # at SF=0.1 the ~300 ms per-query floor (plan compile + scheduling)
-    # hides the scan cost. SF=0.4 (60k rows/day, ~10M rows) makes the
-    # full-scan portion clearly dominate, as in the paper.
-    cfg = dataclasses.replace(bench_cfg, sf=0.4)
+    # The registry sizes this experiment's own relation (see its entry).
+    exp = EXPERIMENTS["exp2_response"]
+    cfg = exp.config(bench_cfg)
     df = load_ads(spark, cfg)
     try:
-        result = benchmark.pedantic(
-            lambda: run_exp2(df, cfg, repeats=3), rounds=1, iterations=1
-        )
+        result = benchmark.pedantic(lambda: exp.run(df, cfg), rounds=1, iterations=1)
     finally:
         df.unpersist()
-    save_result("exp2_response", result, floatfmt="{:.1f}")
-    save_result("exp2_paper", PAPER_EXP2, floatfmt="{:.1f}")
+    exp.save(result)
 
     full = result[result["source"] == "full"].iloc[0]
     sampled = result[result["source"] != "full"]

@@ -3,20 +3,14 @@
 Shape to reproduce: more training days give lower / more stable forecast
 error (paper: 150 days best for both ARIMA and LSTM).
 """
-from benchmarks.conftest import save_result
-from repro.experiments.exp3_train_days import run_exp3
+from repro.experiments.registry import EXPERIMENTS
 
 
 def test_exp3_train_days(benchmark, bench_df, bench_cfg):
-    result = benchmark.pedantic(
-        lambda: run_exp3(
-            bench_df, bench_cfg,
-            train_days_sweep=(30, 60, 100, 150),
-            models=("arima", "lstm"),
-        ),
-        rounds=1, iterations=1,
-    )
-    save_result("exp3_train_days", result)
+    exp = EXPERIMENTS["exp3_train_days"]
+    cfg = exp.config(bench_cfg)
+    result = benchmark.pedantic(lambda: exp.run(bench_df, cfg), rounds=1, iterations=1)
+    exp.save(result)
 
     for model in ("arima", "lstm"):
         sub = result[result["model"] == model]

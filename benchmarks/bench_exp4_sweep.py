@@ -4,16 +4,14 @@ Shape to reproduce: Priority ≈ Opt-GSW best, Uniform worst, compressed
 GSW in between and approaching Opt-GSW as rate grows; aggregation
 error falls with sampling rate; interval widths narrow with rate.
 """
-from benchmarks.conftest import save_result
-from repro.experiments.exp4_sweep import run_exp4
+from repro.experiments.registry import EXPERIMENTS
 
 
 def test_exp4_sweep_favorite(benchmark, bench_df, bench_cfg):
-    result = benchmark.pedantic(
-        lambda: run_exp4(bench_df, bench_cfg, measure="favorite", model="arima"),
-        rounds=1, iterations=1,
-    )
-    save_result("exp4_favorite_arima", result)
+    exp = EXPERIMENTS["exp4_favorite_arima"]
+    cfg = exp.config(bench_cfg)
+    result = benchmark.pedantic(lambda: exp.run(bench_df, cfg), rounds=1, iterations=1)
+    exp.save(result)
 
     by_sampler = result.groupby("sampler")["agg_err"].mean()
     # Weighted samplers must beat uniform on the heavy-tailed measure.

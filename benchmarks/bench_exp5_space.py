@@ -5,20 +5,15 @@ samples is a multiple (paper: ≈1.8×) of the single Arithmetic
 compressed GSW sample at the same aggregation error, and well below the
 naive 4× of storing four independent optimal samples at full rate.
 """
-from benchmarks.conftest import save_result
-from repro.experiments.exp5_space import run_exp5
+from repro.experiments.registry import EXPERIMENTS
 from repro.synth_data import ADS_MEASURES
 
 
 def test_exp5_space(benchmark, bench_df, bench_cfg):
-    result = benchmark.pedantic(
-        lambda: run_exp5(bench_df, bench_cfg, verify_rate=0.02),
-        rounds=1, iterations=1,
-    )
-    cols = ["cgsw_rate", "cgsw_size", "total_opt_size", "size_ratio", "max_agg_rstd"]
-    save_result("exp5_space", result[cols])
-    if "verify" in result.attrs:
-        save_result("exp5_space_verify", result.attrs["verify"])
+    exp = EXPERIMENTS["exp5_space"]
+    cfg = exp.config(bench_cfg)
+    result = benchmark.pedantic(lambda: exp.run(bench_df, cfg), rounds=1, iterations=1)
+    exp.save(result)
 
     # Matched-accuracy Optimal GSW needs more space than compressed ...
     assert (result["size_ratio"] > 1.0).all()

@@ -7,15 +7,14 @@ trend (small L1 → small error).
 """
 import numpy as np
 
-from benchmarks.conftest import save_result
-from repro.experiments.fig6_grouping import run_fig6
+from repro.experiments.registry import EXPERIMENTS
 
 
 def test_fig6_grouping(benchmark, bench_df, bench_cfg):
-    result = benchmark.pedantic(
-        lambda: run_fig6(bench_df, bench_cfg, rate=0.02), rounds=1, iterations=1
-    )
-    save_result("fig6_grouping", result)
+    exp = EXPERIMENTS["fig6_grouping"]
+    cfg = exp.config(bench_cfg)
+    result = benchmark.pedantic(lambda: exp.run(bench_df, cfg), rounds=1, iterations=1)
+    exp.save(result)
 
     # Rank correlation between L1 distance and aggregation error across
     # all (grouping, measure) cells — the paper's "similar trends".

@@ -4,19 +4,14 @@ Regenerates the paper's summary table (forecast error per measure for
 Full / PIM / Uniform / Opt-GSW / C-GSW with ARIMA) on the synthetic ads
 relation and records it to results/table1.txt.
 """
-import dataclasses
-
-from benchmarks.conftest import save_result
-from repro.experiments.table1 import PAPER_TABLE1, run_table1
+from repro.experiments.registry import EXPERIMENTS
 
 
 def test_table1(benchmark, bench_df, bench_cfg):
-    cfg = dataclasses.replace(bench_cfg, n_tasks=4)
-    result = benchmark.pedantic(
-        lambda: run_table1(bench_df, cfg, rate=0.05), rounds=1, iterations=1
-    )
-    save_result("table1", result)
-    save_result("table1_paper", PAPER_TABLE1)
+    exp = EXPERIMENTS["table1"]
+    cfg = exp.config(bench_cfg)
+    result = benchmark.pedantic(lambda: exp.run(bench_df, cfg), rounds=1, iterations=1)
+    exp.save(result)
 
     # Shape checks (averaged over measures; the paper's ordering):
     means = result[["Full", "PIM", "Uniform", "Opt-GSW", "C-GSW"]].mean()

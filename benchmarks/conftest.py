@@ -1,18 +1,14 @@
 """Benchmark fixtures: the SF=0.1 ads relation (15k rows/day × 165 days
-≈ 2.5M rows) shared across all experiment benchmarks, plus a helper that
-persists each experiment table under results/ for EXPERIMENTS.md."""
-import os
-
+≈ 2.5M rows) shared across all experiment benchmarks. Each benchmark
+runs and saves its results table through ``repro.experiments.registry``."""
 import pytest
 
-from repro.experiments.common import ExpConfig, fmt_table, load_ads
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
+from repro.experiments.common import ExpConfig, load_ads
 
 
 @pytest.fixture(scope="session")
 def bench_cfg() -> ExpConfig:
-    return ExpConfig.bench()
+    return ExpConfig()
 
 
 @pytest.fixture(scope="session")
@@ -20,14 +16,3 @@ def bench_df(spark, bench_cfg):
     df = load_ads(spark, bench_cfg)
     yield df
     df.unpersist()
-
-
-def save_result(name: str, pdf, *, floatfmt: str = "{:.3f}") -> str:
-    """Print a harness table and persist it to results/<name>.txt."""
-    text = fmt_table(pdf, floatfmt=floatfmt)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w") as f:
-        f.write(text + "\n")
-    print(f"\n===== {name} =====\n{text}\n")
-    return path

@@ -101,16 +101,3 @@ def estimated_series(
         t, w = t[mask], w[mask]
     # astype: bincount returns int64 zeros when no row matches.
     return np.bincount(t, weights=w, minlength=days)[:days].astype("float64", copy=False)
-
-
-def relative_agg_error(est: np.ndarray, truth: np.ndarray) -> float:
-    """Mean per-day relative aggregation error |M̂_t - M_t| / M_t.
-
-    Days with ``M_t = 0`` are skipped (no defined relative error); if all
-    days are zero the error is reported as 0 when the estimate agrees and
-    inf otherwise.
-    """
-    mask = truth != 0
-    if not mask.any():
-        return 0.0 if np.allclose(est, 0) else float("inf")
-    return float(np.mean(np.abs(est[mask] - truth[mask]) / truth[mask]))

@@ -166,5 +166,7 @@ def solve_delta(
 
 def delta_for_rate(df: DataFrame, weight: Column, rate: float, **kw) -> float:
     """Δ for a target sampling *rate* (fraction of |T|)."""
+    if not (0 < rate <= 1):
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
     n = df.count()
     return solve_delta(df, weight, rate * n, **kw)

@@ -98,6 +98,8 @@ class FlashP:
     def add_priority_sample(
         self, name: str, *, rate: float, measure: str, seed: int = 0
     ) -> DataFrame:
+        if not (0 < rate <= 1):
+            raise ValueError(f"rate must be in (0, 1], got {rate}")
         n_day = self.df.count() / self.days
         k = max(1, int(round(rate * n_day)))
         return self._register(name, priority_sample(self.df, k, measure=measure, seed=seed))

@@ -11,6 +11,7 @@ because per-day sample sizes are smaller.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +25,9 @@ from repro.synth_data import ads_data, random_constraint
 class ExpConfig:
     """One knob-set for the experiment harnesses.
 
-    ``bench()`` is sized to finish in minutes inside pytest-benchmark;
-    ``paper()`` mirrors the paper's workload shape more closely for the
-    spark-submit jobs.
+    The defaults are the benchmark scale (SF 0.1, 165 days), sized to
+    finish in minutes; :mod:`repro.experiments.registry` applies each
+    experiment's own overrides on top.
     """
 
     sf: float = 0.1
@@ -41,18 +42,25 @@ class ExpConfig:
         default_factory=lambda: {"max_p": 2, "max_q": 2, "max_d": 1}
     )
 
-    @classmethod
-    def bench(cls) -> "ExpConfig":
-        return cls(sf=0.1, days=165, train_days=150, n_tasks=3)
 
-    @classmethod
-    def tiny(cls) -> "ExpConfig":
-        """For integration tests: small data, fast models."""
-        return cls(
-            sf=0.01, days=40, train_days=30, n_tasks=2,
-            rates=(0.02, 0.10), selectivities=(0.05,),
-            arima_kwargs={"max_p": 1, "max_q": 1, "max_d": 1},
+def spark_session(app: str) -> SparkSession:
+    """The SparkSession shared by the experiment CLI and the test suites.
+
+    Master and driver memory are read at JVM launch, so they come from
+    ``PYSPARK_SUBMIT_ARGS``; the settings here are honoured afterwards.
+    Broadcast joins are disabled so the sampling/aggregation path
+    exercises the shuffle at SF≈0.1.
+    """
+    return (
+        SparkSession.builder.appName(app)
+        .config(
+            "spark.sql.shuffle.partitions",
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
 
 
 def load_ads(spark: SparkSession, cfg: ExpConfig) -> DataFrame:

@@ -10,6 +10,8 @@ roughly the sampling rate.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -26,7 +28,7 @@ PAPER_EXP2 = pd.DataFrame(
 )
 
 
-def run_exp2(df: DataFrame, cfg: ExpConfig, *, repeats: int = 5) -> pd.DataFrame:
+def run_exp2(df: DataFrame, cfg: ExpConfig, *, repeats: int) -> pd.DataFrame:
     """Measure the response-time breakdown per source.
 
     Reports the *minimum* over ``repeats`` timed runs per source — the
@@ -39,7 +41,7 @@ def run_exp2(df: DataFrame, cfg: ExpConfig, *, repeats: int = 5) -> pd.DataFrame
         fp.add_gsw_sample(f"opt@{rate:g}", rate=rate, weights="impression", seed=21)
 
     (where, sql), = tasks_for(
-        ExpConfig(**{**cfg.__dict__, "n_tasks": 1}),
+        dataclasses.replace(cfg, n_tasks=1),
         selectivity=0.05, measure="impression", base_seed=42,
     )
     rows = []

@@ -12,7 +12,7 @@ from pyspark.sql import DataFrame
 
 from repro.core.pipeline import FlashP
 from repro.experiments.common import ExpConfig, future_truth
-from repro.forecast.metrics import relative_forecast_error
+from repro.forecast.metrics import relative_error
 from repro.synth_data import random_constraint
 
 
@@ -20,8 +20,8 @@ def run_exp3(
     df: DataFrame,
     cfg: ExpConfig,
     *,
-    train_days_sweep: tuple[int, ...] = (30, 60, 100, 150),
-    models: tuple[str, ...] = ("arima", "lstm"),
+    train_days_sweep: tuple[int, ...],
+    models: tuple[str, ...],
 ) -> pd.DataFrame:
     """Sweep the training-window length at fixed selectivity 5%."""
     fp = FlashP(df, days=cfg.days)
@@ -47,7 +47,7 @@ def run_exp3(
                         sql, source=f"opt@{rate:g}",
                         arima_kwargs=cfg.arima_kwargs, lstm_epochs=200, seed=i,
                     )
-                    errs.append(relative_forecast_error(o.point, truth))
+                    errs.append(relative_error(o.point, truth))
                 rows.append(
                     {
                         "model": model,

@@ -12,10 +12,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.estimators import exact_series, relative_agg_error
+from repro.core.estimators import exact_series
 from repro.core.pipeline import FlashP
 from repro.experiments.common import ExpConfig, future_truth, tasks_for
-from repro.forecast.metrics import relative_forecast_error, relative_interval_width
+from repro.forecast.metrics import relative_error, relative_interval_width
 from repro.synth_data import ADS_MEASURES
 
 SAMPLERS = ("Uniform", "Priority", "Opt-GSW", "A-GSW", "G-GSW")
@@ -45,8 +45,8 @@ def run_exp4(
     df: DataFrame,
     cfg: ExpConfig,
     *,
-    measure: str = "favorite",
-    model: str = "arima",
+    measure: str,
+    model: str,
 ) -> pd.DataFrame:
     """The full sampler × rate × selectivity sweep for one measure."""
     fp = FlashP(df, days=cfg.days)
@@ -69,8 +69,8 @@ def run_exp4(
                         sql_m, source=sources[(sampler, rate)],
                         arima_kwargs=cfg.arima_kwargs, lstm_epochs=200,
                     )
-                    agg_errs.append(relative_agg_error(o.series, truth_train))
-                    fc_errs.append(relative_forecast_error(o.point, truth_future))
+                    agg_errs.append(relative_error(o.series, truth_train))
+                    fc_errs.append(relative_error(o.point, truth_future))
                     widths.append(
                         relative_interval_width(o.lower, o.upper, truth_future)
                     )

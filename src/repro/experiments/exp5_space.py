@@ -18,14 +18,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.estimators import (
-    SampleLayer,
-    estimated_series,
-    exact_series,
-    relative_agg_error,
-)
+from repro.core.estimators import SampleLayer, estimated_series, exact_series
 from repro.core.gsw import gsw_sample, optimal_weight
 from repro.experiments.common import ExpConfig
+from repro.forecast.metrics import relative_error
 from repro.synth_data import ADS_MEASURES
 from repro.theory.bounds import expected_sample_size, rstd_exact
 
@@ -44,7 +40,7 @@ def _solve_delta_np(w: np.ndarray, target_size: float) -> float:
     return float(np.sqrt(lo * hi))
 
 
-def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02) -> pd.DataFrame:
+def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None) -> pd.DataFrame:
     """Size-match Optimal GSW to Arithmetic C-GSW per rate.
 
     Returns one row per compressed-sample rate with the per-measure
@@ -103,8 +99,8 @@ def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02)
             delta_m = r_a**2 * M[m].sum()
             so = SampleLayer.pin(gsw_sample(df, optimal_weight(m), delta_m, measures=[m], seed=52))
             truth = exact_series(df, None, m, cfg.days)
-            e_a = relative_agg_error(estimated_series(sa, None, m, cfg.days), truth)
-            e_o = relative_agg_error(estimated_series(so, None, m, cfg.days), truth)
+            e_a = relative_error(estimated_series(sa, None, m, cfg.days), truth)
+            e_o = relative_error(estimated_series(so, None, m, cfg.days), truth)
             verify.append({"measure": m, "agg_err_cgsw": e_a, "agg_err_opt": e_o})
         out.attrs["verify"] = pd.DataFrame(verify)
     return out

@@ -15,15 +15,11 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.estimators import (
-    SampleLayer,
-    estimated_series,
-    exact_series,
-    relative_agg_error,
-)
+from repro.core.estimators import SampleLayer, estimated_series, exact_series
 from repro.core.gsw import arithmetic_weight, delta_for_rate, gsw_sample
 from repro.core.grouping import normalized_l1
 from repro.experiments.common import ExpConfig
+from repro.forecast.metrics import relative_error
 from repro.synth_data import ADS_MEASURES, random_constraint
 
 
@@ -39,7 +35,7 @@ def two_groupings() -> list[tuple[list[str], list[str]]]:
     return out
 
 
-def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFrame:
+def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
     """Per (grouping, measure): L1 distance to the group weight vector and
     mean aggregation error using that group's compressed sample."""
     pdf = df.select(*ADS_MEASURES).toPandas()
@@ -61,7 +57,7 @@ def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFra
             for m in group:
                 l1 = normalized_l1(vectors[m], w_vec)
                 errs = [
-                    relative_agg_error(
+                    relative_error(
                         estimated_series(sample, w, m, cfg.days)[: cfg.train_days],
                         truths[m][i][: cfg.train_days],
                     )

@@ -13,13 +13,15 @@ Shape to reproduce: Opt-GSW ≈ Full ≤ C-GSW < Uniform ≪ PIM.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.pipeline import FlashP
 from repro.experiments.common import ExpConfig, future_truth, tasks_for
-from repro.forecast.metrics import relative_forecast_error
+from repro.forecast.metrics import relative_error
 from repro.synth_data import ADS_MEASURES
 
 PAPER_TABLE1 = pd.DataFrame(
@@ -34,7 +36,7 @@ PAPER_TABLE1 = pd.DataFrame(
 )
 
 
-def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.05) -> pd.DataFrame:
+def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
     """Reproduce Table 1 on the synthetic ads relation.
 
     Tasks are drawn per measure with selectivities spanning the paper's
@@ -58,7 +60,7 @@ def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.05) -> pd.DataF
         errs: dict[str, list[float]] = {k: [] for k in ("Full", "PIM", "Uniform", "Opt-GSW", "C-GSW")}
         for t_idx, sel in enumerate(sels):
             (where, sql), = tasks_for(
-                ExpConfig(**{**cfg.__dict__, "n_tasks": 1}),
+                dataclasses.replace(cfg, n_tasks=1),
                 selectivity=float(sel), measure=measure,
                 base_seed=m_idx * 100 + t_idx, min_dims=2,
             )
@@ -71,7 +73,7 @@ def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.05) -> pd.DataF
                 ("C-GSW", "cgsw"),
             ):
                 o = fp.run(sql, source=source, arima_kwargs=cfg.arima_kwargs)
-                errs[label].append(relative_forecast_error(o.point, truth))
+                errs[label].append(relative_error(o.point, truth))
         rows.append(
             {"measure": measure, **{k: float(np.mean(v)) for k, v in errs.items()}}
         )

@@ -10,13 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def relative_forecast_error(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean |ŷ_h - y_h| / y_h over the horizon (zero-truth days skipped)."""
-    pred, truth = np.asarray(pred, float), np.asarray(truth, float)
+def relative_error(est: np.ndarray, truth: np.ndarray) -> float:
+    """Mean |est_t - y_t| / |y_t| over days with ``y_t ≠ 0`` (aggregation
+    error: est = M̂_t; forecast error: est = ŷ_h). All-zero truth gives 0
+    if the estimate agrees, else inf."""
+    est, truth = np.asarray(est, float), np.asarray(truth, float)
     mask = truth != 0
     if not mask.any():
-        return 0.0 if np.allclose(pred, 0) else float("inf")
-    return float(np.mean(np.abs(pred[mask] - truth[mask]) / np.abs(truth[mask])))
+        return 0.0 if np.allclose(est, 0) else float("inf")
+    return float(np.mean(np.abs(est[mask] - truth[mask]) / np.abs(truth[mask])))
 
 
 def relative_interval_width(

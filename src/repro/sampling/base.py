@@ -10,7 +10,8 @@ column ``f"{m}_est"`` with the Horvitz–Thompson-style property that
 is an unbiased (or, for priority sampling, near-unbiased) estimate of
 ``SUM(m)`` over *all* rows satisfying the same predicate. That single
 invariant is what lets :mod:`repro.core.estimators` answer the paper's
-per-day aggregation queries (eq. 4) with one ``GROUP BY t`` per task.
+per-day aggregation queries (eq. 4) on a sample pinned on the driver: a
+mask for C and one ``np.bincount`` over ``t`` per task.
 
 Samplers are deterministic in their ``seed`` — Spark's ``rand(seed)`` is
 seeded per-partition, so a fixed input partitioning yields a fixed

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.forecast.arima import auto_arima, difference, fit_arima, select_d
-from repro.forecast.metrics import relative_forecast_error
+from repro.forecast.metrics import relative_error
 
 
 def trend_season(n, *, slope=5.0, level=1000.0, amp=100.0, noise=20.0, seed=0):
@@ -87,7 +87,7 @@ class TestAutoArima:
         fit = auto_arima(x[:150])
         point, lo, hi = fit.forecast(7)
         truth = x[150:]
-        assert relative_forecast_error(point, truth) < 0.05
+        assert relative_error(point, truth) < 0.05
         assert np.mean((truth >= lo) & (truth <= hi)) >= 0.7
 
     def test_picks_differencing_for_trend(self):

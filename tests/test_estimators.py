@@ -2,12 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.estimators import (
-    SampleLayer,
-    estimated_series,
-    exact_series,
-    relative_agg_error,
-)
+from repro.core.estimators import SampleLayer, estimated_series, exact_series
 from repro.core.gsw import (
     arithmetic_weight,
     delta_for_rate,
@@ -15,6 +10,7 @@ from repro.core.gsw import (
     gsw_sample,
     optimal_weight,
 )
+from repro.forecast.metrics import relative_error
 from repro.oracle import assert_equivalent
 from repro.sampling.base import est_col
 from repro.sampling.priority import priority_sample
@@ -101,7 +97,7 @@ class TestEstimatedSeries:
         s = gsw_sample(ads_df, optimal_weight("impression"), delta,
                        measures=["impression"], seed=1).cache()
         est = estimated_series(s, where, "impression", DAYS)
-        assert relative_agg_error(est, truth) < 0.5
+        assert relative_error(est, truth) < 0.5
         # correlated day-to-day: the estimated series follows the true one
         assert np.corrcoef(est, truth)[0, 1] > 0.5
 
@@ -163,18 +159,18 @@ class TestPinnedLayer:
 class TestRelativeAggError:
     def test_zero_for_exact(self):
         t = np.array([1.0, 2.0, 3.0])
-        assert relative_agg_error(t.copy(), t) == 0.0
+        assert relative_error(t.copy(), t) == 0.0
 
     def test_simple_value(self):
         t = np.array([10.0, 10.0])
         e = np.array([11.0, 9.0])
-        assert relative_agg_error(e, t) == pytest.approx(0.1)
+        assert relative_error(e, t) == pytest.approx(0.1)
 
     def test_skips_zero_truth_days(self):
         t = np.array([0.0, 10.0])
         e = np.array([5.0, 12.0])
-        assert relative_agg_error(e, t) == pytest.approx(0.2)
+        assert relative_error(e, t) == pytest.approx(0.2)
 
     def test_all_zero_truth(self):
-        assert relative_agg_error(np.zeros(3), np.zeros(3)) == 0.0
-        assert relative_agg_error(np.ones(3), np.zeros(3)) == float("inf")
+        assert relative_error(np.zeros(3), np.zeros(3)) == 0.0
+        assert relative_error(np.ones(3), np.zeros(3)) == float("inf")

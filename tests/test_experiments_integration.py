@@ -2,6 +2,10 @@
 scale and produces structurally correct, sane output. (Shape assertions
 on the paper's orderings live in benchmarks/, where the scale is large
 enough for them to be stable.)"""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -103,6 +107,30 @@ class TestCommonHelpers:
         s = fmt_table(t)
         assert "1.235" in s and "x" in s
 
-    def test_config_presets(self):
-        assert ExpConfig.bench().sf == 0.1
-        assert ExpConfig.tiny().sf == 0.01
+
+class TestEntrypoint:
+    def test_registry_run_and_save(self, ads_df, tiny_cfg, tmp_path):
+        from repro.experiments.registry import EXPERIMENTS
+
+        exp = EXPERIMENTS["fig6_grouping"]
+        result = exp.run(ads_df, exp.config(tiny_cfg))
+        exp.save(result, str(tmp_path))
+        declared = [f"{name}.txt" for name in exp.tables(result)]
+        assert declared == ["fig6_grouping.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == declared
+        assert (tmp_path / "fig6_grouping.txt").read_text() == fmt_table(result) + "\n"
+
+    def test_cli_help_lists_every_experiment(self):
+        import repro
+        from repro.experiments.registry import EXPERIMENTS
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "--help"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0, out.stderr
+        for name in EXPERIMENTS:
+            assert name in out.stdout

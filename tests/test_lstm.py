@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.forecast.lstm import LSTMForecaster
-from repro.forecast.metrics import relative_forecast_error
+from repro.forecast.metrics import relative_error
 
 
 def loss_of(model: LSTMForecaster, X: np.ndarray, y: np.ndarray) -> float:
@@ -80,7 +80,7 @@ class TestTraining:
         x = 100 + 30 * np.sin(2 * np.pi * t / 7) + g.normal(0, 2, 157)
         m = LSTMForecaster(epochs=400, seed=5).fit(x[:150])
         point, _, _ = m.forecast(7)
-        assert relative_forecast_error(point, x[150:]) < 0.15
+        assert relative_error(point, x[150:]) < 0.15
 
     def test_deterministic_given_seed(self):
         series = np.arange(50.0) + 7.0

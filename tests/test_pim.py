@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.pim import PIM
-from repro.core.estimators import exact_series, relative_agg_error
+from repro.core.estimators import exact_series
+from repro.forecast.metrics import relative_error
 from repro.synth_data import ADS_MEASURES
 from tests.conftest import DAYS
 
@@ -58,7 +59,7 @@ class TestEstimates:
         ):
             truth = exact_series(ads_df, where, "impression", DAYS)
             est = pim.estimate_series(where, "impression")
-            errs.append(relative_agg_error(est, truth))
+            errs.append(relative_error(est, truth))
         assert max(errs) > 0.05  # visibly biased somewhere
 
     def test_bias_is_systematic_not_noise(self, pim, ads_df):

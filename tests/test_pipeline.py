@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.estimators import exact_series
 from repro.core.pipeline import FlashP
-from repro.forecast.metrics import relative_forecast_error
+from repro.forecast.metrics import relative_error
 from repro.synth_data import ADS_MEASURES
 from tests.conftest import DAYS
 
@@ -95,14 +95,14 @@ class TestOutcome:
         # the 1.5k-rows/day aggregate is compositionally noisy — just bound
         # the error loosely here; forecast quality is asserted at benchmark
         # scale (150 training days) in benchmarks/.
-        assert relative_forecast_error(o.point, future) < 0.6
+        assert relative_error(o.point, future) < 0.6
 
     def test_lstm_model_path(self, flashp, ads_df):
         o = flashp.run(TASK.replace("'arima'", "'lstm'"), source="full", lstm_epochs=150)
         truth = exact_series(ads_df, "gender IN (1)", "impression", DAYS)
         future = truth[TRAIN_END + 1 : TRAIN_END + 8]
         assert o.model_order is None
-        assert relative_forecast_error(o.point, future) < 0.6
+        assert relative_error(o.point, future) < 0.6
 
     def test_task_object_accepted(self, flashp):
         from repro.core.task import parse_task
@@ -134,6 +134,16 @@ class TestSampleManagement:
         n_day = ads_df.count() / DAYS
         got = flashp.sample("prio_imp").count()
         assert got == DAYS * round(0.1 * n_day)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, 1.5])
+    def test_gsw_rejects_out_of_range_rate(self, ads_df, rate):
+        with pytest.raises(ValueError, match="rate must be in"):
+            FlashP(ads_df, days=DAYS).add_gsw_sample("bad", rate=rate, weights="impression")
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, 1.5])
+    def test_priority_rejects_out_of_range_rate(self, ads_df, rate):
+        with pytest.raises(ValueError, match="rate must be in"):
+            FlashP(ads_df, days=DAYS).add_priority_sample("bad", rate=rate, measure="impression")
 
     def test_sample_has_calibrated_columns(self, flashp):
         from repro.sampling.base import est_col

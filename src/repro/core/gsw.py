@@ -5,7 +5,7 @@ per-row sampling weights ``w``. Row ``i`` enters the sample with
 probability ``w_i / (Δ + w_i)`` independently (eq. 6); the calibrated
 measure stored with a sampled row is ``m̂_i = m_i · (Δ + w_i) / w_i``, so
 ``Σ_{i∈S} m̂_i`` is an unbiased estimator of any subset sum of ``m``
-(Horvitz–Thompson). Everything here is pure Spark SQL column arithmetic:
+(Horvitz–Thompson). The draw is pure Spark SQL column arithmetic:
 Catalyst sees one ``Filter`` + ``Project`` over the input scan.
 
 Weight choices (Sections 4.1.2 and 4.2):
@@ -15,11 +15,17 @@ Weight choices (Sections 4.1.2 and 4.2):
   sample for a group of measures (Corollary 6).
 * ``geometric_weight(ms)``  — ``w_i = (Π_j m_i^(j))^(1/k)`` (Corollary 5).
 
-``solve_delta`` finds the Δ that yields a target expected sample size via
-distributed Newton iterations on ``E|S_Δ| = Σ_i w_i/(Δ+w_i)``.
+``solve_delta`` finds the Δ that yields a target expected sample size by
+Newton iterations on ``E|S_Δ| = Σ_i w_i/(Δ+w_i)``. The weight column is
+collected once (one Spark job) and reduced to a sorted ``(value, count)``
+histogram; the iterations run on the driver over that histogram. Weights
+take few distinct values (a few thousand for one measure, ~50k for a
+geometric mean at SF 0.05), and the sorted sum order makes Δ independent
+of the input's partitioning.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -107,49 +113,44 @@ def expected_sample_size(df: DataFrame, weight: Column, delta: float) -> float:
     return float(row["es"] or 0.0)
 
 
-def solve_delta(
-    df: DataFrame,
-    weight: Column,
+def _weight_histogram(df: DataFrame, weight: Column) -> tuple[np.ndarray, np.ndarray]:
+    """The weight column as sorted distinct values and their row counts.
+
+    One Spark job: the column is collected through Arrow and reduced on the
+    driver. Raises ``ValueError`` if any weight is NULL or non-positive:
+    such a row could never be drawn (π = 0), so every estimate would
+    silently miss its measure mass.
+    """
+    w = df.select(weight.alias("w")).toPandas()["w"].to_numpy(dtype="float64")
+    values, counts = np.unique(w, return_counts=True)  # NULL → NaN, sorted last
+    bad = int(counts[~(values > 0)].sum())
+    if bad:
+        raise ValueError(f"{bad} rows have a NULL or non-positive sampling weight")
+    return values, counts
+
+
+def _newton_delta(
+    values: np.ndarray,
+    counts: np.ndarray,
     target_size: float,
     *,
     max_iter: int = 25,
     rtol: float = 0.02,
 ) -> float:
-    """Find Δ with ``E|S_Δ| ≈ target_size`` by safeguarded Newton.
-
-    ``f(Δ) = Σ w/(Δ+w)`` is strictly decreasing and convex in Δ, with
-    ``f(0) = n`` and ``f(Δ) ≈ W/Δ`` for large Δ. Each iteration is a
-    single Spark aggregate computing ``f`` and ``f'``. The initial guess
-    ``Δ₀ = W/target`` satisfies ``f(Δ₀) ≤ target``; Newton then converges
-    monotonically from that side; a bisection bracket guards against
-    overshoot into Δ ≤ 0.
-    """
+    """Safeguarded Newton for ``Σ c·v/(Δ+v) = target_size`` on a histogram."""
     if target_size <= 0:
         raise ValueError("target_size must be positive")
-    w = weight
-    stats = df.select(
-        F.sum(w).alias("W"),
-        F.count(F.lit(1)).alias("n"),
-        F.count(F.when(w.isNull() | (w <= 0), 1)).alias("bad"),
-    ).first()
-    if stats["bad"]:
-        # Such a row could never be drawn (π = 0), so every estimate would
-        # silently miss its measure mass.
-        raise ValueError(
-            f"{stats['bad']} rows have a NULL or non-positive sampling weight"
-        )
-    W, n = float(stats["W"]), int(stats["n"])
+    c = counts.astype("float64")
+    W, n = float(np.sum(c * values)), int(counts.sum())
     if target_size >= n:  # asking for (at least) everything
         # Any tiny Δ keeps nearly all rows; Δ = W/n² keeps p_i ≈ 1.
         return max(W / (n * n), 1e-12)
     lo, hi = 1e-12, None  # f(lo) ≈ n > target; hi: f(hi) < target once found
     delta = W / target_size
     for _ in range(max_iter):
-        row = df.select(
-            F.sum(w / (F.lit(delta) + w)).alias("f"),
-            F.sum(w / ((F.lit(delta) + w) * (F.lit(delta) + w))).alias("df"),
-        ).first()
-        f, dfd = float(row["f"]), -float(row["df"])
+        d = delta + values
+        f = float(np.sum(c * (values / d)))
+        dfd = -float(np.sum(c * (values / (d * d))))
         if abs(f - target_size) <= rtol * target_size:
             return delta
         if f > target_size:
@@ -164,9 +165,30 @@ def solve_delta(
     return delta
 
 
-def delta_for_rate(df: DataFrame, weight: Column, rate: float, **kw) -> float:
-    """Δ for a target sampling *rate* (fraction of |T|)."""
+def solve_delta(
+    df: DataFrame,
+    weight: Column,
+    target_size: float,
+    *,
+    max_iter: int = 25,
+    rtol: float = 0.02,
+) -> float:
+    """Find Δ with ``E|S_Δ| ≈ target_size`` by safeguarded Newton.
+
+    ``f(Δ) = Σ w/(Δ+w)`` is strictly decreasing and convex in Δ, with
+    ``f(0) = n`` and ``f(Δ) ≈ W/Δ`` for large Δ. ``f`` and ``f'`` are
+    evaluated on the driver over :func:`_weight_histogram` (one Spark job
+    in all). The initial guess ``Δ₀ = W/target`` satisfies
+    ``f(Δ₀) ≤ target``; Newton then converges monotonically from that
+    side; a bisection bracket guards against overshoot into Δ ≤ 0.
+    """
+    values, counts = _weight_histogram(df, weight)
+    return _newton_delta(values, counts, target_size, max_iter=max_iter, rtol=rtol)
+
+
+def delta_for_rate(df: DataFrame, weight: Column, rate: float) -> float:
+    """Δ for a target sampling *rate* (fraction of |T|); one Spark job."""
     if not (0 < rate <= 1):
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    n = df.count()
-    return solve_delta(df, weight, rate * n, **kw)
+    values, counts = _weight_histogram(df, weight)
+    return _newton_delta(values, counts, rate * int(counts.sum()))

@@ -1,4 +1,6 @@
 """Tests for the GSW sampler as a Spark DataFrame transform."""
+import uuid
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -13,9 +15,17 @@ from repro.core.gsw import (
     optimal_weight,
     solve_delta,
 )
+from repro.core.pipeline import FlashP
 from repro.sampling.base import est_col
 from repro.synth_data import ADS_MEASURES
 from repro.theory import bounds
+from tests.conftest import DAYS
+
+WEIGHTS = {
+    "optimal": (lambda: optimal_weight("impression"), ["impression"]),
+    "arithmetic": (lambda: arithmetic_weight(list(ADS_MEASURES)), list(ADS_MEASURES)),
+    "geometric": (lambda: geometric_weight(list(ADS_MEASURES)), list(ADS_MEASURES)),
+}
 
 
 class TestWeightExpressions:
@@ -158,6 +168,94 @@ class TestSolveDelta:
         )
         with pytest.raises(ValueError, match="non-positive sampling weight"):
             delta_for_rate(zeroed, weight, 0.05)
+
+
+def solve_delta_reference(df, weight, target_size, *, max_iter=25, rtol=0.02):
+    """The distributed Newton (one Spark aggregate per step), kept as the
+    exactness reference for the driver-side solve."""
+    w = weight
+    stats = df.select(F.sum(w).alias("W"), F.count(F.lit(1)).alias("n")).first()
+    W, n = float(stats["W"]), int(stats["n"])
+    if target_size >= n:
+        return max(W / (n * n), 1e-12)
+    lo, hi = 1e-12, None
+    delta = W / target_size
+    for _ in range(max_iter):
+        row = df.select(
+            F.sum(w / (F.lit(delta) + w)).alias("f"),
+            F.sum(w / ((F.lit(delta) + w) * (F.lit(delta) + w))).alias("df"),
+        ).first()
+        f, dfd = float(row["f"]), -float(row["df"])
+        if abs(f - target_size) <= rtol * target_size:
+            return delta
+        if f > target_size:
+            lo = max(lo, delta)
+        else:
+            hi = delta if hi is None else min(hi, delta)
+        step = (f - target_size) / dfd if dfd != 0 else 0.0
+        nxt = delta - step
+        if (nxt <= lo) or (hi is not None and nxt >= hi) or step == 0.0:
+            nxt = (lo + hi) / 2 if hi is not None else delta / 2
+        delta = nxt
+    return delta
+
+
+def spark_jobs(spark, fn) -> int:
+    """Number of Spark jobs that ``fn()`` runs."""
+    sc = spark.sparkContext
+    group = f"count-jobs-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "count Spark jobs")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestSolveDeltaExactness:
+    @pytest.mark.parametrize("rate", [0.005, 0.02, 0.10])
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    def test_matches_distributed_newton(self, ads_df, kind, rate):
+        make_w, measures = WEIGHTS[kind]
+        w = make_w()
+        got = delta_for_rate(ads_df, w, rate)
+        want = solve_delta_reference(ads_df, w, rate * ads_df.count())
+        assert got == pytest.approx(want, rel=1e-9)
+
+        def rows(delta):
+            s = gsw_sample(ads_df, w, delta, measures=measures, seed=11)
+            return s.select("_p", *ads_df.columns).orderBy("_p").toPandas()
+
+        a, b = rows(got), rows(want)
+        assert len(a) > 0 and a.equals(b)
+
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    def test_independent_of_partitioning(self, ads_df, kind):
+        w = WEIGHTS[kind][0]()
+        deltas = [
+            delta_for_rate(df, w, 0.02)
+            for df in (ads_df, ads_df.repartition(1), ads_df.repartition(7))
+        ]
+        assert deltas[0] == deltas[1] == deltas[2]
+
+
+class TestSparkJobs:
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    def test_delta_for_rate_runs_one_job(self, spark, ads_df, kind):
+        w = WEIGHTS[kind][0]()
+        assert spark_jobs(spark, lambda: delta_for_rate(ads_df, w, 0.02)) == 1
+
+    @pytest.mark.parametrize(
+        "weights",
+        ["impression", list(ADS_MEASURES), "geometric:" + ",".join(ADS_MEASURES)],
+    )
+    def test_add_gsw_sample_runs_at_most_two_jobs(self, spark, ads_df, weights):
+        # The Δ-solve plus the collect that pins (and caches) the layer.
+        fp = FlashP(ads_df, days=DAYS)
+        n = spark_jobs(spark, lambda: fp.add_gsw_sample("s", rate=0.02, weights=weights))
+        fp.sample("s").unpersist()
+        assert n <= 2
 
 
 class TestIncreaseDelta:
